@@ -615,9 +615,13 @@ func BenchmarkSessionObs(b *testing.B) {
 }
 
 // BenchmarkSessionNetwork compares a plain network against a
-// session-backed one (shared ball index + LP cache across nodes) on the
-// sequential engine — the per-node redundant re-solves of the protocol
-// collapse to one simplex run per distinct LP across the whole network.
+// session-backed one on the sequential engine: the session-backed run
+// floods exactly as the plain one but takes every output from the
+// session's retained LocalAverage state instead of re-solving each
+// node's ball LPs. The incremental sub-benchmark is the path a cluster
+// worker serves per request: a 1-entry weight patch, Resync, and a
+// 2-member loopback partitioned run, whose members read the session's
+// incrementally re-solved outputs.
 func BenchmarkSessionNetwork(b *testing.B) {
 	in, _ := gen.Torus([]int{10, 10}, gen.LatticeOptions{})
 	g := maxminlp.NewGraph(in, maxminlp.GraphOptions{})
@@ -643,6 +647,38 @@ func BenchmarkSessionNetwork(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := nw.RunSequential(proto); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("incremental", func(b *testing.B) {
+		sess := core.NewSolverFromGraph(in, g)
+		nw, err := dist.NewSessionNetwork(sess)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := dist.New("partitioned", dist.Options{Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(nw, proto); err != nil { // cold solve, outside the timer
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Walk the agents with coefficients that recur only every
+			// 97 ops, so most patches are fresh LPs, not cache hits.
+			v := i % in.NumAgents()
+			row := in.AgentResources(v)[0]
+			d := core.WeightDelta{Kind: core.ResourceWeight, Row: row, Agent: v, Coeff: 1 + float64(i%97)/64}
+			if err := sess.UpdateWeights([]core.WeightDelta{d}); err != nil {
+				b.Fatal(err)
+			}
+			if err := nw.Resync(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Run(nw, proto); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -502,19 +502,8 @@ func NewBallSolver() *BallSolver {
 	return &BallSolver{ws: lp.NewWorkspace(), cache: newSolveCache()}
 }
 
-// NewBallSolverWithCache returns a solver backed by the given shared
-// cache. The cache is internally synchronised, so many such solvers —
-// one per node or per worker of a distributed engine — may run
-// concurrently against it; the workspace and key buffer of each solver
-// remain single-goroutine. Canonical keys are identical between the
-// view-based and CSR-based pipelines, so a cache warmed by a Solver
-// session deduplicates the engines' redundant per-node re-solves too.
-func NewBallSolverWithCache(c *SolveCache) *BallSolver {
-	return &BallSolver{ws: lp.NewWorkspace(), cache: c.c}
-}
-
 // SolvesAvoided reports how many Solve calls were answered from the
-// isomorphic-ball cache (for a shared cache, across all its holders).
+// isomorphic-ball cache.
 func (s *BallSolver) SolvesAvoided() int {
 	if s.cache == nil {
 		return 0

@@ -79,10 +79,9 @@ type cacheEntry struct {
 // so a hash collision can cost a duplicate solve but never a wrong
 // reuse. Entries are immutable once inserted and are referenced by
 // pointer (never moved), so callers — the session's retained per-agent
-// results, the distributed engines' ball solvers — may hold entries
-// across later inserts and compactions. All access goes through the
-// internal mutex, so one cache can be shared between a Solver session
-// and the per-node solvers of a distributed run.
+// results — may hold entries across later inserts and compactions. All
+// access goes through the internal mutex, so one cache can be shared by
+// concurrent solves.
 type solveCache struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*cacheEntry
@@ -178,9 +177,8 @@ func (c *solveCache) compact(keep map[*cacheEntry]bool) {
 // exact coefficient bits of the local LP (9) — so one cache may be
 // shared across radii (AdaptiveAverage does) and even across instances.
 // The zero value is not usable; construct with NewSolveCache. All
-// operations are internally synchronised, so one cache may serve a
-// Solver session and concurrent distributed-engine ball solvers at the
-// same time.
+// operations are internally synchronised, so one cache may serve
+// concurrent LocalAverageOpt calls through AverageOptions.Cache.
 type SolveCache struct{ c *solveCache }
 
 // NewSolveCache returns an empty cache.

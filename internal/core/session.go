@@ -298,39 +298,12 @@ func (s *Solver) Snapshot() (*mmlp.Instance, *hypergraph.Graph) {
 // Cache returns the session's shared solve cache.
 func (s *Solver) Cache() *SolveCache { return s.cache }
 
-// NewBallSolver returns a view-based ball-LP solver backed by the
-// session's shared cache — the hook the distributed engines use so every
-// node's redundant re-solves dedup against the session (and each other).
-// Each returned solver must stay on one goroutine; the cache itself is
-// internally synchronised.
-func (s *Solver) NewBallSolver() *BallSolver {
-	return NewBallSolverWithCache(s.cache)
-}
-
 // BallIndex returns the session's retained radius-r ball index, building
-// it on first use. The index is immutable; concurrent readers (the
-// distributed engines) may share it freely. Note that a topology update
-// replaces it — holders that must stay consistent with a specific graph
-// snapshot should use BallIndexIfCurrent.
+// it on first use. The index is immutable; concurrent readers may share
+// it freely. Note that a topology update replaces it.
 func (s *Solver) BallIndex(radius int) *hypergraph.BallIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ballIndex(radius)
-}
-
-// BallIndexIfCurrent returns the retained radius-r ball index if the
-// session still solves over exactly the graph snapshot g, or nil if a
-// topology update has replaced it (or g belongs to another session).
-// The distributed engines use it so a run keeps the topology it
-// snapshotted at Network construction: when the session has moved on,
-// they fall back to record-derived balls and stay bit-identical to a
-// cold network over the snapshot instance.
-func (s *Solver) BallIndexIfCurrent(radius int, g *hypergraph.Graph) *hypergraph.BallIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.g != g {
-		return nil
-	}
 	return s.ballIndex(radius)
 }
 
@@ -455,9 +428,46 @@ func (s *Solver) LocalAverage(radius int) (*AverageResult, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.localAverageLocked(radius)
+	res, err := s.localAverageLocked(radius)
+	if err != nil {
+		return nil, err
+	}
+	return copyResult(res), nil
 }
 
+// LocalAverageIfCurrent returns LocalAverage(radius).X[lo:hi] — from
+// retained state, re-solving incrementally as needed — if the session
+// still solves exactly the snapshot (in, g), as returned by an earlier
+// Snapshot, with presolve off. Otherwise it returns ok = false and
+// solves nothing. The snapshot test is pointer equality: UpdateWeights
+// and UpdateTopology replace the instance (and topology updates the
+// graph), so any update since the snapshot fails it; presolve may move
+// X by a few ulps (see AverageOptions.Presolve), so results solved under
+// it are never served as the snapshot's exact outputs. The check and the
+// solve hold the session lock together, so no update can slip between
+// them. The distributed engines use it to serve session-backed
+// AverageProtocol runs; the returned slice is a private copy.
+func (s *Solver) LocalAverageIfCurrent(radius int, in *mmlp.Instance, g *hypergraph.Graph, lo, hi int) (x []float64, ok bool, err error) {
+	if radius < 0 {
+		return nil, false, fmt.Errorf("core: radius must be ≥ 0, got %d", radius)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.in != in || s.g != g || s.presolve {
+		return nil, false, nil
+	}
+	if n := s.csr.NumAgents(); lo < 0 || hi < lo || hi > n {
+		return nil, false, fmt.Errorf("core: LocalAverageIfCurrent [%d,%d) out of range [0,%d)", lo, hi, n)
+	}
+	res, err := s.localAverageLocked(radius)
+	if err != nil {
+		return nil, false, err
+	}
+	return append([]float64(nil), res.X[lo:hi]...), true, nil
+}
+
+// localAverageLocked brings the radius state up to date and returns the
+// retained result itself; callers copy what they hand out.
 func (s *Solver) localAverageLocked(radius int) (*AverageResult, error) {
 	st := s.state(radius)
 	switch {
@@ -485,7 +495,7 @@ func (s *Solver) localAverageLocked(radius int) (*AverageResult, error) {
 		s.stats.WarmHits++
 		s.obsM.RecordWarmHit()
 	}
-	return copyResult(st.res), nil
+	return st.res, nil
 }
 
 // solveFull is the cold path: every agent's local LP through the shared
@@ -767,7 +777,7 @@ func (s *Solver) Adaptive(targetRatio float64, maxRadius int) (*AdaptiveResult, 
 	if err != nil {
 		return nil, err
 	}
-	out.AverageResult = res
+	out.AverageResult = copyResult(res)
 	return out, nil
 }
 

@@ -25,7 +25,11 @@
 // the exact arithmetic of the centralised implementation in internal/
 // core — same orderings, same floating-point operations — the
 // distributed outputs agree bit-for-bit with core.Safe and
-// core.LocalAverage.
+// core.LocalAverage. That equality is also what lets a session-backed
+// network (NewSessionNetwork) serve AverageProtocol outputs from its
+// core.Solver session's incremental LocalAverage state instead of
+// re-solving per node, while flooding — and every cost counter — runs
+// unchanged.
 //
 // # Engines
 //

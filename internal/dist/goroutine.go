@@ -74,6 +74,13 @@ func (nw *Network) runGoroutines(p Protocol) (*Trace, error) {
 		return nil, err
 	}
 	n := len(nodes)
+	// The batch output step runs up front: the node goroutines compute
+	// their own outputs as their last phase, and session-backed outputs
+	// do not depend on the (fault-free) flooding.
+	batch, err := nw.sessionOutputs(p, 0, n)
+	if err != nil {
+		return nil, err
+	}
 	b := newBarrier(n)
 	if m := nw.obsM; m != nil {
 		b.h = m.BarrierWait
@@ -94,7 +101,7 @@ func (nw *Network) runGoroutines(p Protocol) (*Trace, error) {
 				}
 				b.await() // every outbox read; restaging is safe again
 			}
-			nd.x, nd.err = p.output(nd.know)
+			nd.setOutput(p, batch, v)
 		}(v)
 	}
 	wg.Wait()

@@ -18,10 +18,10 @@ type Network struct {
 	g    *hypergraph.Graph
 	roms []*agentRecord
 
-	// sess, when non-nil, lets the engines reuse the session's retained
-	// ball indexes and shared solve cache for the per-node output
-	// computations (see NewSessionNetwork). Outputs are bit-identical
-	// with or without it.
+	// sess, when non-nil, serves AverageProtocol outputs from the
+	// session's retained LocalAverage state while it still solves this
+	// network's snapshot (see NewSessionNetwork and sessionOutputs).
+	// Outputs are bit-identical with or without it.
 	sess *core.Solver
 
 	// obsM, when non-nil, receives run/round/message counters and barrier
@@ -61,20 +61,23 @@ func NewNetwork(in *mmlp.Instance, g *hypergraph.Graph) (*Network, error) {
 	return &Network{in: in, g: g, roms: buildRecords(in, g)}, nil
 }
 
-// NewSessionNetwork builds a Network over a Solver session's instance
-// and hypergraph, and threads the session through the engines: each
-// node's Theorem-3 output reads the session's retained radius-R ball
-// index instead of re-deriving balls from gathered records, and solves
-// its local LPs through a ball solver backed by the session's shared
-// (internally synchronised) cache — so the redundant re-solves of the
-// protocol dedup across nodes, engines and prior session queries.
-// Outputs and traces stay bit-identical to a plain NewNetwork run: ball
-// contents are equal once flooding has delivered the horizon, and a
-// cached LP solution is only reused after an exact canonical-key match.
+// NewSessionNetwork builds a Network over a Solver session's current
+// instance and hypergraph (one Snapshot) and keeps the session for the
+// output step. Flooding — and with it every Trace cost counter — runs
+// exactly as on a plain network; but while the session still solves the
+// network's snapshot, the fault-free engines take every node's
+// AverageProtocol output from the session's retained, incrementally
+// maintained LocalAverage state in one call, instead of re-solving each
+// node's ball LPs from its gathered records. The two are the same
+// function of the same instance — the protocol replays core.LocalAverage
+// operation for operation — so outputs stay bit-identical to a plain
+// NewNetwork run.
 //
-// The network snapshots the session's instance at construction; weight
-// or topology updates applied to the session afterwards are not
-// reflected in the records until Resync re-snapshots them.
+// Weight or topology updates applied to the session afterwards are not
+// reflected in the network until Resync re-snapshots them; until then
+// the session no longer matches the snapshot, and runs fall back to
+// computing each node's output from its gathered records, exactly as a
+// cold network over the snapshot instance would.
 func NewSessionNetwork(sess *core.Solver) (*Network, error) {
 	if sess == nil {
 		return nil, errors.New("dist: nil session")
@@ -88,15 +91,16 @@ func NewSessionNetwork(sess *core.Solver) (*Network, error) {
 	return nw, nil
 }
 
-// Resync re-snapshots a session-backed network after updates were
-// applied to the session — in particular topology updates, under which
-// nodes appear and disappear between runs. The per-agent ROMs and the
-// graph are rebuilt from the session's current instance, so the next run
+// Resync re-snapshots a session-backed network after weight or topology
+// updates were applied to the session (under topology updates, nodes
+// appear and disappear between runs). The per-agent ROMs and the graph
+// are rebuilt from the session's current instance, so the next run
 // produces outputs and traces bit-identical to a cold network over the
 // mutated instance (detached agents become isolated zero-activity
-// nodes). Runs already in flight are unaffected: they keep the records
-// and graph they started with. Resync must not be called concurrently
-// with a run on the same Network.
+// nodes), and its outputs are served from the session's incremental
+// LocalAverage state again. Runs already in flight are unaffected: they
+// keep the records and graph they started with. Resync must not be
+// called concurrently with a run on the same Network.
 func (nw *Network) Resync() error {
 	if nw.sess == nil {
 		return errors.New("dist: Resync requires a session-backed network (NewSessionNetwork)")
@@ -148,18 +152,46 @@ func (nw *Network) newFloodNodes(p Protocol) ([]*floodNode, error) {
 	nodes := make([]*floodNode, len(nw.roms))
 	for v, rom := range nw.roms {
 		nodes[v] = newFloodNode(rom)
-		if nw.sess != nil {
-			// One ball solver per node keeps the workspace and key
-			// buffer single-goroutine under every engine; the cache
-			// behind them is the session's and is safe to share. The
-			// graph snapshot pins which topology the session's ball
-			// indexes may serve this run.
-			nodes[v].know.sess = nw.sess
-			nodes[v].know.solver = nw.sess.NewBallSolver()
-			nodes[v].know.graph = nw.g
-		}
 	}
 	return nodes, nil
+}
+
+// sessionOutputs is the batch output step of the fault-free engines. On
+// a session-backed network running AverageProtocol it returns the
+// outputs of agents [lo, hi) from the session's retained LocalAverage
+// state, provided the session still solves exactly the network's
+// snapshot; x̃_v of equation (10) is a deterministic function of v's
+// radius-(2R+1) view, which fault-free flooding always delivers, and
+// core.LocalAverage computes that same function with the same
+// arithmetic. It returns nil when the engine must compute p.output per
+// node: on plain networks, for other protocols, and after a session
+// update the network has not been resynced to. The call runs one
+// (usually incremental) session solve, so engines make it once per run
+// — in the partitioned engine once per member, after the round
+// exchange, so a transport fault still fails the run first.
+func (nw *Network) sessionOutputs(p Protocol, lo, hi int) ([]float64, error) {
+	ap, ok := p.(AverageProtocol)
+	if !ok || nw.sess == nil {
+		return nil, nil
+	}
+	x, ok, err := nw.sess.LocalAverageIfCurrent(ap.Radius, nw.in, nw.g, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %s: %w", p.Name(), err)
+	}
+	if !ok {
+		return nil, nil
+	}
+	return x, nil
+}
+
+// setOutput fills the node's output: batch[i] when a batch was served,
+// else p.output over the node's own gathered knowledge.
+func (nd *floodNode) setOutput(p Protocol, batch []float64, i int) {
+	if batch != nil {
+		nd.x = batch[i]
+		return
+	}
+	nd.x, nd.err = p.output(nd.know)
 }
 
 // finish aggregates per-node results into the trace, surfacing the

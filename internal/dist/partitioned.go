@@ -166,10 +166,14 @@ func (nw *Network) RunPartitioned(p Protocol, pt Partition, t Transport) (*Parti
 		}
 	}
 
+	batch, err := nw.sessionOutputs(p, lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	part := &PartialTrace{Lo: lo, Hi: hi, Rounds: p.Horizon(), X: make([]float64, hi-lo)}
 	for v := lo; v < hi; v++ {
 		nd := nodes[v]
-		nd.x, nd.err = p.output(nd.know)
+		nd.setOutput(p, batch, v-lo)
 		if nd.err != nil {
 			return nil, fmt.Errorf("dist: %s: node %d: %w", p.Name(), v, nd.err)
 		}

@@ -6,22 +6,7 @@ import (
 	"sort"
 
 	"maxminlp/internal/core"
-	"maxminlp/internal/hypergraph"
 )
-
-// intBallIfKnown converts a shared []int32 ball to the []int form the
-// record-derived code paths use, or returns nil if the node is missing
-// any member's record (the caller then falls back to the knowledge BFS).
-func intBallIfKnown(ball []int32, recs map[int]*agentRecord) []int {
-	out := make([]int, len(ball))
-	for i, u := range ball {
-		if recs[int(u)] == nil {
-			return nil
-		}
-		out[i] = int(u)
-	}
-	return out
-}
 
 // Protocol is a deterministic local algorithm in the model of Section
 // 1.5: nodes flood agent records for Horizon() synchronous rounds, after
@@ -91,35 +76,15 @@ func (p AverageProtocol) Horizon() int { return 2*p.Radius + 1 }
 // output computes x̃_j of equation (10) for the node from its gathered
 // view. It replays the exact arithmetic of core.LocalAverage — same ball
 // order, same accumulation order, same LP formulation — so the result is
-// bit-identical to the centralised run.
+// bit-identical to the centralised run. (Session-backed runs of the
+// fault-free engines take every node's output from the session instead;
+// see Network.sessionOutputs.)
 func (p AverageProtocol) output(k *knowledge) (float64, error) {
-	// On a session-backed network the balls come from the session's
-	// retained radius-R index — no per-node BFS over record maps — as
-	// long as the node actually holds every member's record (always
-	// true after fault-free flooding; the self-stabilising runtime,
-	// which calls output mid-recovery on partial knowledge, runs with
-	// no session and keeps the record-derived path). Ball contents are
-	// identical either way — both are B_H(v, R) sorted ascending — so
-	// outputs do not change by a bit. The index is only taken while it
-	// still matches the network's graph snapshot: after an un-resynced
-	// topology update the session's patched balls describe a different
-	// graph than the gathered records, and mixing them would produce
-	// outputs matching no cold network — the fallback keeps the run on
-	// the snapshot topology.
-	var bi *hypergraph.BallIndex
-	if k.sess != nil {
-		bi = k.sess.BallIndexIfCurrent(p.Radius, k.graph)
-	}
 	balls := make(map[int][]int)
 	ballOf := func(v int) []int {
 		b, ok := balls[v]
 		if !ok {
-			if bi != nil {
-				b = intBallIfKnown(bi.Ball(v), k.recs)
-			}
-			if b == nil {
-				b = k.ball(v, p.Radius)
-			}
+			b = k.ball(v, p.Radius)
 			balls[v] = b
 		}
 		return b
@@ -131,13 +96,8 @@ func (p AverageProtocol) output(k *knowledge) (float64, error) {
 	// kernel, and its isomorphic-ball cache collapses them to one
 	// simplex run per distinct local LP (on symmetric instances, most of
 	// a node's ball shares one orbit) — with bit-identical outputs,
-	// since reuse requires an exact canonical-key match. Session-backed
-	// networks hand every node a solver over the session's shared cache,
-	// deduplicating across nodes and engines too.
-	solver := k.solver
-	if solver == nil {
-		solver = core.NewBallSolver()
-	}
+	// since reuse requires an exact canonical-key match.
+	solver := core.NewBallSolver()
 	self := ballOf(k.self)
 	var sum float64
 	for _, u := range self {

@@ -3,7 +3,6 @@ package dist
 import (
 	"sort"
 
-	"maxminlp/internal/core"
 	"maxminlp/internal/hypergraph"
 	"maxminlp/internal/mmlp"
 )
@@ -76,18 +75,6 @@ func rowAgents(row []mmlp.Entry) []int {
 type knowledge struct {
 	self int
 	recs map[int]*agentRecord
-
-	// sess and solver are set by session-backed networks
-	// (NewSessionNetwork): sess supplies retained ball indexes, solver a
-	// per-node LP kernel sharing the session's cache. Both nil on plain
-	// networks and in the self-stabilising runtime, where outputs fall
-	// back to pure record-derived computation. graph is the network's
-	// graph snapshot; the session's ball index is only consulted while
-	// it still matches (a topology update applied to the session without
-	// a Resync must not leak new balls into a run over old records).
-	sess   *core.Solver
-	solver *core.BallSolver
-	graph  *hypergraph.Graph
 }
 
 func newKnowledge(rom *agentRecord) *knowledge {

@@ -74,8 +74,12 @@ func (nw *Network) runSequential(p Protocol) (*Trace, error) {
 			m.RoundMessages.Observe(float64(roundMsgs))
 		}
 	}
-	for _, nd := range nodes {
-		nd.x, nd.err = p.output(nd.know)
+	batch, err := nw.sessionOutputs(p, 0, len(nodes))
+	if err != nil {
+		return nil, err
+	}
+	for v, nd := range nodes {
+		nd.setOutput(p, batch, v)
 	}
 	out, err := nw.finish(tr, nodes)
 	if err != nil {

@@ -44,6 +44,12 @@ func (nw *Network) runSharded(p Protocol, shards int) (*Trace, error) {
 		return nil, err
 	}
 	n := len(nodes)
+	// As in runGoroutines, the batch output step runs before the workers,
+	// whose last phase computes outputs.
+	batch, err := nw.sessionOutputs(p, 0, n)
+	if err != nil {
+		return nil, err
+	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -67,7 +73,7 @@ func (nw *Network) runSharded(p Protocol, shards int) (*Trace, error) {
 			}
 		}
 	}
-	output := func(v int) { nodes[v].x, nodes[v].err = p.output(nodes[v].know) }
+	output := func(v int) { nodes[v].setOutput(p, batch, v) }
 	var wg sync.WaitGroup
 	wg.Add(shards)
 	for w := 0; w < shards; w++ {

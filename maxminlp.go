@@ -347,8 +347,10 @@ func NewSolver(in *Instance, opt GraphOptions) *Solver { return core.NewSolver(i
 func NewSolverFromGraph(in *Instance, g *Graph) *Solver { return core.NewSolverFromGraph(in, g) }
 
 // NewSessionNetwork binds a Solver session for distributed execution:
-// the engines reuse the session's retained ball indexes and shared solve
-// cache for their per-node output computations, with outputs and traces
+// flooding runs as on a plain network, and while the session still
+// solves the network's snapshot (call Resync after updating the
+// session), the fault-free engines take AverageProtocol outputs from the
+// session's incremental LocalAverage state — outputs and traces stay
 // bit-identical to a plain NewNetwork run.
 func NewSessionNetwork(s *Solver) (*Network, error) { return dist.NewSessionNetwork(s) }
 
